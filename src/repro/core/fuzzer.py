@@ -867,36 +867,6 @@ class PFuzzer:
             fingerprint["hunt_crashes"] = True
         return fingerprint
 
-    @staticmethod
-    def _encode_candidate(candidate: Candidate, mapping: Dict[int, int]) -> dict:
-        return {
-            "text": candidate.text,
-            "replacement": candidate.replacement,
-            "parents": candidate.parents,
-            "parent_branches": sorted(
-                mapping[arc] for arc in candidate.parent_branches
-            ),
-            "avg_stack": candidate.avg_stack,
-            "path_signature": candidate.path_signature,
-            "static_score": candidate.static_score,
-            "new_count": candidate.new_count,
-            "lineage": candidate.lineage,
-        }
-
-    @staticmethod
-    def _decode_candidate(record: dict, unpacker) -> Candidate:
-        return Candidate(
-            text=record["text"],
-            replacement=record["replacement"],
-            parents=record["parents"],
-            parent_branches=unpacker.ids(record["parent_branches"]),
-            avg_stack=record["avg_stack"],
-            path_signature=record["path_signature"],
-            static_score=record["static_score"],
-            new_count=record["new_count"],
-            lineage=record.get("lineage", 0),
-        )
-
     def snapshot(self) -> dict:
         """Serialise the complete campaign state as a JSON-safe payload.
 
@@ -904,15 +874,34 @@ class PFuzzer:
         their stable tuple form (interned ids are process-local); the queue
         is captured verbatim — stored priorities, FIFO order and score
         caches included — so a restored campaign pops candidates in exactly
-        the order the original would have.
+        the order the original would have.  Each distinct parent-branch
+        set is stored once in ``queue["branch_sets"]``.
         """
         from repro.eval.checkpoint import pack_arc_ids
 
         table = arc_table_for(self.subject)
         entries, counter = self._queue.dump_entries()
-        id_sets = [self._valid_branches, self._hybrid_branches]
-        id_sets.extend(candidate.parent_branches for _, _, candidate in entries)
-        arcs, mapping = pack_arc_ids(id_sets, table)
+        # Siblings share their parent's branch array: store each distinct
+        # set once, in order of first appearance, and point records at it.
+        # A record follows ``Candidate``'s field order, with the set's
+        # index in place of ``parent_branches``.
+        set_index: Dict[bytes, int] = {}
+        branch_sets = []
+        records = []
+        for priority, order, candidate in entries:
+            branches = candidate.parent_branches
+            index = set_index.setdefault(branches.tobytes(), len(branch_sets))
+            if index == len(branch_sets):
+                branch_sets.append(branches)
+            records.append([
+                priority, order, candidate.text, candidate.replacement,
+                candidate.parents, index, candidate.avg_stack,
+                candidate.path_signature, candidate.static_score,
+                candidate.new_count, candidate.lineage,
+            ])
+        arcs, mapping = pack_arc_ids(
+            [self._valid_branches, self._hybrid_branches, *branch_sets], table
+        )
         rng_version, rng_internal, rng_gauss = self._rng.getstate()
         elapsed = (
             time.monotonic() - self._run_started
@@ -940,10 +929,11 @@ class PFuzzer:
             ),
             "queue": {
                 "counter": counter,
-                "entries": [
-                    [priority, order, self._encode_candidate(candidate, mapping)]
-                    for priority, order, candidate in entries
+                "branch_sets": [
+                    sorted(mapping[arc] for arc in branches)
+                    for branches in branch_sets
                 ],
+                "entries": records,
             },
             "rng": [rng_version, list(rng_internal), rng_gauss],
             "wall_time": self._wall_consumed + elapsed,
@@ -1043,13 +1033,29 @@ class PFuzzer:
         result.valid_lineage = list(payload.get("valid_lineage", []))
         self._lineage = LineageLog.from_payload(payload.get("lineage"))
         queue = payload["queue"]
-        self._queue.restore_entries(
-            [
-                (priority, order, self._decode_candidate(record, unpacker))
+        if "branch_sets" in queue:
+            # One shared array per set, exactly as ``_add_candidates``
+            # shares it between the siblings it queues.
+            shared = [
+                normalize_branches(unpacker.ids(ids))
+                for ids in queue["branch_sets"]
+            ]
+            entries = [
+                (priority, order, Candidate(
+                    text, replacement, parents, shared[index], *rest
+                ))
+                for priority, order, text, replacement, parents, index, *rest
+                in queue["entries"]
+            ]
+        else:  # format 1: one dict per entry, each with its own arc list
+            entries = [
+                (priority, order, Candidate(**dict(
+                    record,
+                    parent_branches=unpacker.ids(record["parent_branches"]),
+                )))
                 for priority, order, record in queue["entries"]
-            ],
-            queue["counter"],
-        )
+            ]
+        self._queue.restore_entries(entries, queue["counter"])
         rng_version, rng_internal, rng_gauss = payload["rng"]
         self._rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
         self._timer.totals = dict(payload["phase_times"])

@@ -1,16 +1,19 @@
 """Durable campaign snapshots: versioned, atomic, checksummed.
 
-A checkpoint is one JSON file holding a complete :class:`~repro.core.fuzzer.
-PFuzzer` state — candidate queue with its cached scores and heap order,
-``vBr``, the valid corpus, RNG position and budget consumed — wrapped in an
-envelope that makes interrupted writes detectable:
+A checkpoint file holds a complete :class:`~repro.core.fuzzer.PFuzzer`
+state — candidate queue with its cached scores and heap order, ``vBr``,
+the valid corpus, RNG position and budget consumed — as two lines: an
+envelope header (magic, version, generation, checksum), then the canonical
+payload JSON, serialised once and parsed once.  The envelope makes
+interrupted writes detectable:
 
-* **atomic writes** — the payload is written to a temporary file in the
-  same directory, fsynced, and ``os.replace``d into place, so a crash mid-
-  write can never leave a half-written file under the final name;
-* **checksums** — the envelope stores a blake2b digest of the canonical
-  payload JSON; a truncated or bit-flipped file fails verification and is
-  skipped rather than restored;
+* **atomic writes** — written to a temporary file in the same directory,
+  fsynced, ``os.replace``d into place and the directory fsynced, so a crash
+  never leaves a half-written file under the final name nor loses the
+  rename of a generation whose predecessors were already pruned;
+* **checksums** — a blake2b digest of the payload bytes as stored; a
+  truncated or bit-flipped file fails verification and is skipped rather
+  than restored;
 * **generations** — every write gets the next generation number and the
   previous ``keep`` generations are retained, so even a corrupted latest
   file (e.g. a torn write on a non-atomic filesystem) falls back to the
@@ -21,7 +24,11 @@ snapshots never store raw ids: every referenced arc is decoded through the
 subject's :class:`~repro.runtime.arcs.ArcTable` into its stable tuple form
 and re-interned on restore.  :func:`pack_arc_ids` / :class:`ArcUnpacker`
 implement that translation; everything downstream of them (scores, counts,
-path signatures) is id-independent by construction.
+path signatures) is id-independent by construction.  Queued siblings share
+their parent's branch set: the queue's ``branch_sets`` table stores each
+distinct set once and each entry is a positional record indexing it.
+Format 1 files (payload nested in the envelope, one dict per queue entry)
+still load, so a campaign checkpointed before format 2 resumes.
 """
 
 from __future__ import annotations
@@ -42,7 +49,8 @@ PathLike = Union[str, Path]
 MAGIC = "repro-checkpoint"
 
 #: Bumped on any payload field rename/retyping; additions keep the version.
-FORMAT_VERSION = 1
+#: Format 1 (payload nested in the envelope) is still read.
+FORMAT_VERSION = 2
 
 #: Default number of snapshot generations retained on disk.
 DEFAULT_KEEP = 2
@@ -59,7 +67,8 @@ def atomic_write_text(
 ) -> Path:
     """Write ``text`` to ``target`` with the crash-safe discipline.
 
-    Temporary file in the same directory, fsync, then ``os.replace`` — the
+    Temporary file in the same directory, fsync, ``os.replace``, then an
+    fsync of the directory so the rename itself survives power loss — the
     write either completes or never happens under the final name.  Shared
     by snapshot writes here and the campaign service's journal compaction
     (:mod:`repro.service.jobs`).
@@ -80,6 +89,11 @@ def atomic_write_text(
         except OSError:
             pass
         raise
+    directory_fd = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory_fd)
+    finally:
+        os.close(directory_fd)
     return target
 
 
@@ -141,8 +155,15 @@ def _canonical_payload(payload: dict) -> str:
     )
 
 
-def _payload_checksum(canonical: str) -> str:
-    return blake2b(canonical.encode("ascii"), digest_size=16).hexdigest()
+def _payload_checksum(data: bytes) -> str:
+    return blake2b(data, digest_size=16).hexdigest()
+
+
+def _parse_json(path: Path, data: bytes):
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise CheckpointError(f"{path}: malformed JSON ({exc})") from None
 
 
 def _generation_path(directory: Path, generation: int) -> Path:
@@ -186,16 +207,16 @@ def save_snapshot(
     if generation is None:
         generation = (existing[-1] + 1) if existing else 1
     canonical = _canonical_payload(payload)
-    envelope = {
-        "magic": MAGIC,
-        "version": FORMAT_VERSION,
-        "generation": generation,
-        "checksum": _payload_checksum(canonical),
-        "payload": payload,
-    }
+    header = json.dumps(
+        {
+            "magic": MAGIC,
+            "version": FORMAT_VERSION,
+            "generation": generation,
+            "checksum": _payload_checksum(canonical.encode("ascii")),
+        }
+    )
     target = atomic_write_text(
-        _generation_path(directory, generation),
-        json.dumps(envelope, ensure_ascii=True),
+        _generation_path(directory, generation), header + "\n" + canonical
     )
     for old in existing:
         if old <= generation - keep:
@@ -219,27 +240,35 @@ def load_snapshot(path: PathLike) -> Tuple[int, dict]:
     """
     path = Path(path)
     try:
-        raw = path.read_text(encoding="ascii")
-    except (OSError, UnicodeDecodeError) as exc:
+        raw = path.read_bytes()
+    except OSError as exc:
         raise CheckpointError(f"{path}: unreadable ({exc})") from None
-    try:
-        envelope = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: malformed JSON ({exc})") from None
+    # Format 2 is a header line then the payload; a format-1 file is one
+    # line, so the whole file lands in ``head``.
+    head, _, body = raw.partition(b"\n")
+    envelope = _parse_json(path, head)
     if not isinstance(envelope, dict) or envelope.get("magic") != MAGIC:
         raise CheckpointError(f"{path}: not a {MAGIC} file")
     version = envelope.get("version")
-    if version != FORMAT_VERSION:
+    if version == FORMAT_VERSION:
+        stored = body
+    elif version == 1:
+        # Format 1 nested the payload; its checksum covers the re-dump.
+        stored = _canonical_payload(envelope.get("payload")).encode("ascii")
+    else:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    payload = envelope.get("payload")
+    if _payload_checksum(stored) != envelope.get("checksum"):
+        raise CheckpointError(f"{path}: checksum mismatch (truncated write?)")
+    payload = (
+        _parse_json(path, body)
+        if version == FORMAT_VERSION
+        else envelope["payload"]
+    )
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: missing payload")
-    checksum = _payload_checksum(_canonical_payload(payload))
-    if checksum != envelope.get("checksum"):
-        raise CheckpointError(f"{path}: checksum mismatch (truncated write?)")
     generation = envelope.get("generation")
     if not isinstance(generation, int):
         raise CheckpointError(f"{path}: missing generation number")

@@ -29,6 +29,16 @@ def _generation_path(directory, generation):
     return directory / f"ckpt-{generation:08d}.json"
 
 
+def _read_checkpoint(path):
+    """A checkpoint file's envelope header and stored payload text."""
+    header, payload_text = path.read_text().split("\n", 1)
+    return json.loads(header), payload_text
+
+
+def _write_checkpoint(path, header, payload_text):
+    path.write_text(json.dumps(header) + "\n" + payload_text)
+
+
 # --------------------------------------------------------------------- #
 # Envelope round-trip
 # --------------------------------------------------------------------- #
@@ -70,6 +80,27 @@ def test_no_temp_files_left_behind(tmp_path):
     assert all(name.startswith("ckpt-") for name in names)
 
 
+def test_atomic_write_syncs_the_directory_after_the_rename(tmp_path, monkeypatch):
+    """The rename must be durable before older generations are pruned."""
+    import stat
+
+    from repro.eval import checkpoint
+
+    target = tmp_path / "out.json"
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), target.exists()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", recording_fsync)
+    checkpoint.atomic_write_text(target, "data")
+    # The file's data first (before the rename), then its directory.
+    assert synced == [(False, False), (True, True)]
+    assert target.read_text() == "data"
+
+
 def test_load_latest_empty_or_missing_directory(tmp_path):
     assert load_latest(tmp_path) is None
     assert load_latest(tmp_path / "never-created") is None
@@ -97,20 +128,47 @@ def test_truncated_snapshot_is_rejected(tmp_path):
 
 def test_tampered_payload_fails_checksum(tmp_path):
     path = save_snapshot(tmp_path, {"executions": 42})
-    record = json.loads(path.read_text())
-    record["payload"]["executions"] = 43
-    path.write_text(json.dumps(record))
+    header, payload_text = _read_checkpoint(path)
+    payload = json.loads(payload_text)
+    payload["executions"] = 43
+    _write_checkpoint(path, header, json.dumps(payload))
     with pytest.raises(CheckpointError, match="checksum"):
         load_snapshot(path)
 
 
+def test_one_flipped_byte_in_stored_payload_fails_checksum(tmp_path):
+    """The checksum covers the payload bytes as stored: a flip that leaves
+    valid JSON (and would survive a re-dump) is still caught."""
+    path = save_snapshot(tmp_path, {"executions": 42, "note": "abc"})
+    raw = path.read_bytes()
+    at = raw.rindex(b"abc") + 2
+    path.write_bytes(raw[:at] + b"d" + raw[at + 1:])
+    _, payload_text = _read_checkpoint(path)
+    assert json.loads(payload_text) == {"executions": 42, "note": "abd"}
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_snapshot(path)
+    # Even an edit that keeps the payload's meaning is caught.
+    path = save_snapshot(tmp_path, {"executions": 42}, keep=10)
+    path.write_bytes(path.read_bytes().replace(b'":42', b'": 42'))
+    with pytest.raises(CheckpointError, match="checksum"):
+        load_snapshot(path)
+
+
+def test_stored_payload_is_the_canonical_text(tmp_path):
+    path = save_snapshot(tmp_path, {"b": [1, 2], "a": "x"})
+    header, payload_text = _read_checkpoint(path)
+    assert payload_text == '{"a":"x","b":[1,2]}'
+    assert header["version"] == FORMAT_VERSION
+    assert header["generation"] == 1
+
+
 def test_wrong_magic_and_version_rejected(tmp_path):
     path = save_snapshot(tmp_path, PAYLOAD)
-    record = json.loads(path.read_text())
+    record, payload_text = _read_checkpoint(path)
     for key, value in (("magic", "other-tool"), ("version", FORMAT_VERSION + 1)):
         broken = dict(record)
         broken[key] = value
-        path.write_text(json.dumps(broken))
+        _write_checkpoint(path, broken, payload_text)
         with pytest.raises(CheckpointError):
             load_snapshot(path)
     assert MAGIC == "repro-checkpoint"

@@ -84,6 +84,47 @@ def test_snapshot_restore_snapshot_fixed_point_grid(subject_name, backend):
     check()
 
 
+def _assert_siblings_share_branch_arrays(fuzzer, subject_name):
+    """Restore hands each stored branch set to its siblings as one array."""
+    payload = fuzzer.snapshot()
+    queue = payload["queue"]
+    original, _ = fuzzer._queue.dump_entries()
+    distinct = {candidate.parent_branches.tobytes() for _, _, candidate in original}
+    assert len(queue["branch_sets"]) == len(distinct)
+
+    restored = PFuzzer(load_subject(subject_name), fuzzer.config)
+    restored.restore(payload)
+    entries, _ = restored._queue.dump_entries()
+    assert len(entries) == len(queue["entries"])
+    arrays = {}
+    for (_, _, candidate), record in zip(entries, queue["entries"]):
+        shared = arrays.setdefault(record[5], candidate.parent_branches)
+        assert candidate.parent_branches is shared
+    assert len({id(array) for array in arrays.values()}) == len(arrays)
+    return len(entries) - len(arrays)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    budget=st.integers(min_value=10, max_value=250),
+    backend=st.sampled_from(["settrace", "ast"]),
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_restored_siblings_share_one_branch_array(seed, budget, backend):
+    fuzzer = _campaign_snapshot("expr", seed, budget, 200, backend)
+    _assert_siblings_share_branch_arrays(fuzzer, "expr")
+
+
+def test_branch_sets_are_stored_once_per_sibling_group():
+    fuzzer = _campaign_snapshot("json", 0, 200, 200, "ast")
+    shared_entries = _assert_siblings_share_branch_arrays(fuzzer, "json")
+    assert shared_entries > 0, "campaign queued no sibling groups"
+
+
 def test_restore_rejects_mismatched_configuration():
     from repro.eval.checkpoint import CheckpointError
 
