@@ -60,7 +60,6 @@ from repro.eval.report import (
     render_token_table,
 )
 from repro.eval.token_cov import figure3
-from repro.runtime.executor import EXECUTOR_MODES
 from repro.runtime.harness import COVERAGE_BACKENDS
 from repro.subjects.registry import (
     SUBJECT_NAMES,
@@ -223,17 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--slice-executions", type=_positive_int, default=200, metavar="N",
         help="with --shards: round length in executions (default: 200)",
-    )
-    fuzz.add_argument(
-        "--executor", choices=EXECUTOR_MODES, default="inline",
-        help="execution engine: inline (reference, in-process) or pooled "
-        "(persistent forked-worker executor; identical results, lower "
-        "per-candidate fixed cost — see DESIGN.md §9)",
-    )
-    fuzz.add_argument(
-        "--batch-size", type=_positive_int, default=1, metavar="N",
-        help="with --executor pooled: speculative candidates submitted per "
-        "round-trip (default: 1 — no speculation)",
     )
     fuzz.add_argument(
         "--cull-every", type=_positive_int, default=None, metavar="N",
@@ -520,14 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: the service's slice length)",
     )
     submit.add_argument(
-        "--executor", choices=EXECUTOR_MODES, default="inline",
-        help="execution engine for the job's slices (pFuzzer only)",
-    )
-    submit.add_argument(
-        "--batch-size", type=_positive_int, default=1, metavar="N",
-        help="with --executor pooled: speculative candidates per round-trip",
-    )
-    submit.add_argument(
         "--cull-every", type=_positive_int, default=None, metavar="N",
         help="queue-hygiene cadence in executions (pFuzzer only; never "
         "changes the job's result fingerprint)",
@@ -650,8 +630,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         max_executions=args.budget,
         coverage_backend=args.coverage_backend,
         trace_path=args.trace,
-        executor=args.executor,
-        batch_size=args.batch_size,
         cull_every=args.cull_every,
         hybrid=args.hybrid,
         mine_after=args.mine_after,
@@ -1105,9 +1083,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         spec["shards"] = args.shards
     if args.sync_every is not None:
         spec["sync_every"] = args.sync_every
-    if args.executor != "inline":
-        spec["executor"] = args.executor
-        spec["batch_size"] = args.batch_size
     if args.cull_every is not None:
         spec["cull_every"] = args.cull_every
     if args.hybrid:

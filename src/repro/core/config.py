@@ -114,26 +114,6 @@ class FuzzerConfig:
             pure function of the executions counter, so a killed and
             resumed shard syncs at exactly the points the uninterrupted
             run would have.
-        executor: execution engine — ``"inline"`` (run candidates in
-            this process, the reference path) or ``"pooled"`` (persistent
-            forked-worker executor, see :mod:`repro.runtime.executor`:
-            the subject is loaded and instrumented once per worker and
-            candidates are served over a pipe, AFL-forkserver style).
-            Both engines produce byte-identical campaigns; like
-            ``trace_path``, the choice is environmental and excluded from
-            the snapshot fingerprint, so a resumed campaign may switch.
-        batch_size: with ``executor="pooled"``, how many candidates the
-            fuzzer submits per speculative round-trip (the current pop
-            plus the queue's likely next pops).  1 disables speculation;
-            results are cached by input text, so batching never changes
-            the campaign result.
-        executor_workers: persistent worker processes for the pooled
-            engine.
-        executor_isolation: ``"auto"`` (fork per candidate where
-            ``os.fork`` exists), ``"fork"``, or ``"none"`` (same-process
-            re-init fallback).  Fork isolation discards any state a run
-            mutated; the in-process fallback relies on the harness's
-            per-run reset and is equivalence-tested too.
         cull_every: run :meth:`repro.core.queue.CandidateQueue.cull`
             every N subject executions, checked at the iteration boundary
             (the same cadence discipline as ``checkpoint_every`` /
@@ -197,10 +177,6 @@ class FuzzerConfig:
     shard_rotate_every: int = 200
     sync_store: Optional[str] = None
     sync_every: Optional[int] = None
-    executor: str = "inline"
-    batch_size: int = 1
-    executor_workers: int = 1
-    executor_isolation: str = "auto"
     cull_every: Optional[int] = None
     hybrid: bool = False
     mine_after: int = 600

@@ -21,14 +21,13 @@ plus a bytearray bitmap of ``vBr`` indexed by arc id, making a queue
 re-score O(queue) with a vectorised membership count per candidate instead
 of a set difference per candidate.
 
-Execution is pluggable (``config.executor``): the default ``"inline"``
-engine calls :func:`~repro.runtime.harness.run_subject` in-process; the
-``"pooled"`` engine routes candidates through a persistent forked-worker
-executor (:mod:`repro.runtime.executor`) and — with ``config.batch_size``
-> 1 — speculatively submits the queue's likely next pops in the same
-round-trip.  Executions are a pure function of the input text, and all
-campaign bookkeeping (counters, path counts, lineage, RNG) happens here at
-consume time, so every engine produces byte-identical campaign results.
+Candidates execute inline: :func:`~repro.runtime.harness.run_subject`
+runs in this process, one candidate at a time.  Each execution's result
+re-scores the queue before the next pop, so the next candidate is never
+known in advance and there is nothing to prefetch; a run is a pure
+function of the input text, and all campaign bookkeeping (counters, path
+counts, lineage, RNG) happens here, so campaigns are deterministic given
+subject, seed and budget.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.core.substitute import substitutions_for
 from repro.obs.lineage import LineageLog
 from repro.obs.trace import NULL_RECORDER, JsonlTraceRecorder, PhaseTimer, TraceRecorder
 from repro.runtime.arcs import arc_table_for
-from repro.runtime.executor import EXECUTOR_MODES, ISOLATION_MODES
 from repro.runtime.harness import ExitStatus, RunResult, run_subject
 from repro.subjects.base import Subject
 
@@ -226,27 +224,9 @@ class PFuzzer:
             )
         if self.config.shard_rotate_every < 1:
             raise ValueError("shard_rotate_every must be positive")
-        if self.config.executor not in EXECUTOR_MODES:
-            raise ValueError(
-                f"unknown executor {self.config.executor!r}; "
-                f"expected one of {EXECUTOR_MODES}"
-            )
-        if self.config.executor_isolation not in ISOLATION_MODES:
-            raise ValueError(
-                f"unknown executor isolation "
-                f"{self.config.executor_isolation!r}; "
-                f"expected one of {ISOLATION_MODES}"
-            )
-        if self.config.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.config.executor_workers < 1:
-            raise ValueError("executor_workers must be positive")
         if self.config.cull_every is not None and self.config.cull_every < 1:
             raise ValueError("cull_every must be positive")
         self._last_cull = 0
-        #: The pooled execution engine, created for the duration of
-        #: :meth:`run`; None means the inline fast path.
-        self._executor = None
         self._syncer = None
         if self.config.sync_store is not None:
             from repro.eval.corpus_store import CorpusStore
@@ -371,20 +351,12 @@ class PFuzzer:
     def _execute(self, text: str, lineage: int) -> RunResult:
         self._seen.add(text)
         started = self._timer.start()
-        if self._executor is None:
-            result = run_subject(
-                self.subject,
-                text,
-                trace_coverage=self.config.trace_coverage,
-                coverage_backend=self.config.coverage_backend,
-            )
-        else:
-            # Pooled engine: the result may already be streaming in from a
-            # speculative prefetch; otherwise this is one round-trip.  All
-            # bookkeeping below happens here at consume time regardless of
-            # when (or on which worker) the execution actually ran, which
-            # is what keeps every engine byte-identical.
-            result = self._executor.execute(text)
+        result = run_subject(
+            self.subject,
+            text,
+            trace_coverage=self.config.trace_coverage,
+            coverage_backend=self.config.coverage_backend,
+        )
         self._timer.stop("execute", started)
         self._result.executions += 1
         if _TEST_KILL_AT is not None and self._result.executions >= _TEST_KILL_AT:
@@ -821,12 +793,12 @@ class PFuzzer:
         """Everything a snapshot's config must match to be resumable.
 
         ``max_executions`` is deliberately excluded: resuming with a larger
-        budget is how a finished campaign is extended.  The executor
-        fields (``executor``/``batch_size``/``executor_workers``/
-        ``executor_isolation``) are excluded like ``trace_path``: they are
-        environmental — every engine produces byte-identical campaigns,
-        so a resume may switch engines freely (the equivalence harness
-        asserts exactly this).
+        budget is how a finished campaign is extended.  Such an extension
+        is not always result-equivalent to one run at the larger budget:
+        when the old budget ran out between an iteration's two
+        executions, the skipped random-character append is not in the
+        snapshot (DESIGN §6).  Environmental fields such as
+        ``trace_path`` and ``checkpoint_dir`` are excluded too.
         """
         config = self.config
         fingerprint = {
@@ -1130,32 +1102,6 @@ class PFuzzer:
             return False
         return True
 
-    def _prefetch(self, head: Optional[str] = None) -> None:
-        """Speculatively submit the next likely executions to the engine.
-
-        ``head`` is the text about to execute; with ``batch_size`` > 1 the
-        queue's approximate next pops ride in the same round-trip.  Pure
-        overlap: results are cached by text and consumed (with all
-        bookkeeping) in :meth:`_execute`, so speculation — right or wrong
-        — never changes the campaign.  No-op on the inline engine.
-        """
-        executor = self._executor
-        if executor is None:
-            return
-        texts: List[str] = []
-        if head is not None:
-            texts.append(head)
-        want = self.config.batch_size - len(texts)
-        if want > 0:
-            seen = self._seen
-            for text in self._queue.peek_texts(want + 4):
-                if text not in seen and text != head:
-                    texts.append(text)
-                    if len(texts) >= self.config.batch_size:
-                        break
-        if texts:
-            executor.prefetch(texts)
-
     def run(self) -> FuzzingResult:
         """Run the campaign until the execution budget is exhausted.
 
@@ -1172,29 +1118,7 @@ class PFuzzer:
         ``_seen``, so the first action is the same ``_next_candidate`` pop
         (and the same RNG draws) the uninterrupted run performed there —
         which is what makes resumed output byte-identical modulo timings.
-
-        With ``config.executor="pooled"`` the persistent forked-worker
-        engine is spawned for the duration of this call and shut down on
-        the way out, crash or not.
         """
-        if self.config.executor == "pooled":
-            from repro.runtime.executor import PooledExecutor
-
-            self._executor = PooledExecutor(
-                self.subject,
-                coverage_backend=self.config.coverage_backend,
-                trace_coverage=self.config.trace_coverage,
-                workers=self.config.executor_workers,
-                isolation=self.config.executor_isolation,
-            )
-        try:
-            return self._run()
-        finally:
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
-
-    def _run(self) -> FuzzingResult:
         if self.config.checkpoint_dir is not None and self.config.resume:
             self._resume_from_checkpoint()
         run_base = self._result.executions
@@ -1208,22 +1132,9 @@ class PFuzzer:
                 budget=self.config.max_executions,
                 executions=self._result.executions,
             )
-        initial_inputs = list(self.config.initial_inputs)
-        for position, text in enumerate(initial_inputs):
+        for text in self.config.initial_inputs:
             if not self._budget_left() or text in self._seen:
                 continue
-            if self._executor is not None:
-                # Seed replay is a known-ahead batch: ship the next slice
-                # of unseen seeds in one round-trip.
-                self._executor.prefetch(
-                    [
-                        seed_text
-                        for seed_text in initial_inputs[
-                            position : position + self.config.batch_size
-                        ]
-                        if seed_text not in self._seen
-                    ]
-                )
             seed = self._seed_candidate(text)
             seeded = self._execute(text, seed.lineage)
             if self._is_valid_new(seeded):
@@ -1238,7 +1149,6 @@ class PFuzzer:
                 else self._next_candidate()
             )
         while current is not None and self._budget_left():
-            self._prefetch(current.text)
             result = self._execute(current.text, current.lineage)
             if self._is_valid_new(result):
                 self._handle_valid(result, current.parents, current.lineage)

@@ -132,22 +132,6 @@ class CandidateQueue:
             return None
         return heapq.heappop(self._heap)[2]
 
-    def peek_texts(self, count: int) -> List[str]:
-        """Texts of (approximately) the next ``count`` candidates to pop.
-
-        Used for speculative batched execution: the executor warms these
-        while the current candidate's results are processed.  Exactness is
-        deliberately traded for cost — the true top-k of a binary heap can
-        sit anywhere in its first k levels, so this looks only at a
-        bounded window of the backing array.  A wrong guess costs a wasted
-        speculative execution, never a wrong campaign result (executions
-        are a pure function of the text).
-        """
-        if count <= 0 or not self._heap:
-            return []
-        window = self._heap[: max(64, 4 * count)]
-        return [entry[2].text for entry in heapq.nsmallest(count, window)]
-
     def rescore(self, added_branches: Optional[Iterable[int]] = None) -> None:
         """Re-compute every score (Algorithm 1, Lines 40–43).
 

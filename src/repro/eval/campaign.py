@@ -135,9 +135,6 @@ def run_campaign(
     resume: bool = False,
     corpus_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-    executor: Optional[str] = None,
-    batch_size: Optional[int] = None,
-    executor_workers: Optional[int] = None,
     cull_every: Optional[int] = None,
     hybrid: bool = False,
     mine_after: Optional[int] = None,
@@ -163,14 +160,9 @@ def run_campaign(
             :class:`~repro.eval.corpus_store.CorpusStore` file.
         trace_path: write an NDJSON campaign trace there (pFuzzer only;
             see :mod:`repro.obs.trace`).
-        executor: pFuzzer execution engine (``"inline"``/``"pooled"``;
-            see :mod:`repro.runtime.executor`).  None keeps the config
-            default.  Engine choice never changes the campaign result.
-        batch_size: speculative batch size for the pooled engine.
-        executor_workers: persistent worker count for the pooled engine.
         cull_every: queue-hygiene cadence in executions (pFuzzer only;
             see :attr:`repro.core.config.FuzzerConfig.cull_every`).
-            Environmental like ``executor`` — never changes the result.
+            Environmental like ``trace_path`` — never changes the result.
         hybrid: run the pFuzzer campaign in hybrid mine/generate mode
             (see :mod:`repro.hybrid`).  Unlike the environmental knobs
             above this changes the campaign result and participates in
@@ -203,12 +195,6 @@ def run_campaign(
             durability["checkpoint_every"] = checkpoint_every
     if trace_path is not None:
         durability["trace_path"] = trace_path
-    if executor is not None:
-        durability["executor"] = executor
-    if batch_size is not None:
-        durability["batch_size"] = batch_size
-    if executor_workers is not None:
-        durability["executor_workers"] = executor_workers
     if cull_every is not None:
         durability["cull_every"] = cull_every
     if hybrid:

@@ -55,7 +55,17 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.eval.campaign import ToolOutput, run_campaign, validate_campaign
 from repro.eval.metrics import CampaignMetrics, write_jsonl
@@ -148,36 +158,17 @@ def _worker_main(
     fail_on: Optional[Dict[FaultKey, str]],
     durability: Optional[Dict[str, object]],
     trace_dir: Optional[str] = None,
-    engine: Optional[Dict[str, object]] = None,
+    options: Optional[Dict[str, object]] = None,
 ) -> None:
-    """Worker loop: take (task_id, spec, attempt) tasks until sentinel.
+    """Worker loop: run (task_id, spec, attempt) grid cells until told to stop.
 
-    ``inbox``/``results`` are :class:`multiprocessing.connection.Connection`
-    ends of per-worker pipes, not shared queues: sends complete synchronously
-    in this thread, so a worker dying between tasks (crash injection, a real
-    segfault, the parent watchdog's SIGTERM) can never orphan a lock or leave
-    a half-written frame that would wedge its siblings.  The parent sees a
-    dead worker's pipe as EOF and re-dispatches whatever it was assigned.
-
-    The EOF only fires if every copy of the inbox write-end is closed, and
-    siblings forked later inherit this worker's copy — so a SIGKILLed
-    parent would leave idle workers sleeping in ``recv`` forever.  Poll
-    with a timeout and exit once re-parented instead.
+    ``options`` are extra :func:`run_campaign` keyword arguments shared by
+    every cell (cull cadence, hybrid and crash-hunting modes, the plugin
+    module); per-cell checkpoint and trace paths are added here.
     """
-    parent = os.getppid()
-    while True:
-        try:
-            while not inbox.poll(1.0):
-                if os.getppid() != parent:
-                    return
-            item = inbox.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
-        task_id, (tool, subject, budget, seed), attempt = item
+    for task_id, (tool, subject, budget, seed), attempt in receive_tasks(inbox):
         started = time.monotonic()
-        campaign_options: Dict[str, object] = {}
+        campaign_options: Dict[str, object] = dict(options or {})
         if durability is not None:
             campaign_options["checkpoint_dir"] = _cell_checkpoint_dir(
                 str(durability["root"]), tool, subject, seed
@@ -193,11 +184,6 @@ def _worker_main(
             campaign_options["trace_path"] = os.path.join(
                 trace_dir, f"{tool}-{subject}-s{seed}.ndjson"
             )
-        if engine:
-            # Execution-engine knobs (executor/batch_size/executor_workers)
-            # are environmental, like trace_path: they never change a cell's
-            # result, only how fast it runs.
-            campaign_options.update(engine)
         try:
             with time_limit(timeout):
                 import repro.core.fuzzer as fuzzer_module
@@ -238,8 +224,43 @@ def _worker_main(
 
 
 # --------------------------------------------------------------------- #
-# Parent side
+# Worker pool
 # --------------------------------------------------------------------- #
+
+
+def receive_tasks(inbox) -> Iterator:
+    """Child side of :class:`WorkerPool`: yield tasks until told to stop.
+
+    Every pool worker's ``target`` loops over this.  It ends on the
+    ``None`` sentinel that :meth:`WorkerPool.shutdown` sends, on EOF, and
+    when the parent dies.  ``inbox`` is the worker's end of its own pipe,
+    not a shared queue: a worker dying between tasks (a crash, the parent
+    watchdog's SIGTERM) can never orphan a lock or leave a half-written
+    frame that would wedge its siblings.
+
+    EOF only fires once every copy of the inbox write-end is closed, and
+    siblings forked later inherit this worker's copy, so a SIGKILLed
+    parent would leave idle workers asleep in ``recv`` forever, holding
+    inherited sockets open.  The loop therefore polls with a timeout and
+    stops once re-parented.
+    """
+    # The spawning pid as the parent recorded it before the fork: reading
+    # os.getppid() here would already return the adopter's pid if the
+    # parent died while this worker was starting, and the loop would
+    # then never notice.
+    spawner = multiprocessing.parent_process()
+    parent = spawner.pid if spawner is not None else os.getppid()
+    while True:
+        try:
+            while not inbox.poll(1.0):
+                if os.getppid() != parent:
+                    return
+            item = inbox.recv()
+        except (EOFError, OSError):
+            return
+        if item is None:
+            return
+        yield item
 
 
 @dataclass
@@ -256,7 +277,8 @@ class WorkerPool:
     The process/pipe mechanics shared by the evaluation grid
     (:class:`_GridExecutor`) and the campaign service's time-slicing
     scheduler (:mod:`repro.service.scheduler`): spawn workers running
-    ``target(worker_id, inbox, results, *extra_args)``, send them tasks,
+    ``target(worker_id, inbox, results, *extra_args)`` (a loop over
+    :func:`receive_tasks`), send them tasks,
     drain their result messages, and detect/remove dead ones.  Task
     semantics — what a task is, retry policy, deadlines — stay with the
     caller; the pool only guarantees that a worker dying at any point
@@ -289,10 +311,11 @@ class WorkerPool:
         self._next_worker_id += 1
         task_recv, task_send = self.ctx.Pipe(duplex=False)
         result_recv, result_send = self.ctx.Pipe(duplex=False)
-        # daemon=False: workers host PooledExecutor children of their own
-        # (daemonic processes may not have children).  Orphan cleanup does
-        # not rely on the flag anyway — workers poll getppid and exit once
-        # re-parented, and shutdown() sends sentinels then terminates.
+        # daemon=False: plugin subjects are arbitrary code that may start
+        # processes of their own, and daemonic processes may not have
+        # children.  Orphan cleanup does not rely on the flag anyway —
+        # receive_tasks polls getppid and stops once re-parented, and
+        # shutdown() sends sentinels then terminates.
         process = self.ctx.Process(
             target=self._target,
             args=(worker_id, task_recv, result_send) + self._extra_args,
@@ -385,7 +408,7 @@ class _GridExecutor:
         durability: Optional[Dict[str, object]] = None,
         resume_retries: int = 0,
         trace_dir: Optional[str] = None,
-        engine: Optional[Dict[str, object]] = None,
+        options: Optional[Dict[str, object]] = None,
     ) -> None:
         self.specs = list(specs)
         self.jobs = jobs
@@ -398,7 +421,7 @@ class _GridExecutor:
         self.durability = durability
         self.resume_retries = resume_retries
         self.pool = WorkerPool(
-            _worker_main, (timeout, self.fail_on, durability, trace_dir, engine)
+            _worker_main, (timeout, self.fail_on, durability, trace_dir, options)
         )
         self.records: List[Optional[RunRecord]] = [None] * len(self.specs)
         self.pending = deque(
@@ -617,8 +640,6 @@ def run_grid(
     resume_retries: int = 2,
     corpus_path: Optional[Union[str, "os.PathLike[str]"]] = None,
     trace_dir: Optional[Union[str, "os.PathLike[str]"]] = None,
-    executor: Optional[str] = None,
-    batch_size: Optional[int] = None,
     cull_every: Optional[int] = None,
     hybrid: bool = False,
     mine_after: Optional[int] = None,
@@ -657,13 +678,9 @@ def run_grid(
         trace_dir: write each cell's NDJSON campaign trace to
             ``<tool>-<subject>-s<seed>.ndjson`` below this directory
             (pFuzzer cells only; created if missing).
-        executor: execution engine for pFuzzer cells (``"inline"`` or
-            ``"pooled"``; see :mod:`repro.runtime.executor`).  Purely a
-            throughput knob — cell results are engine-independent.
-        batch_size: speculative batch size for the pooled engine.
         cull_every: queue-hygiene cadence in executions for pFuzzer cells
             (:attr:`repro.core.config.FuzzerConfig.cull_every`).
-            Environmental like ``executor`` — cell results are
+            Environmental like ``trace_dir`` — cell results are
             cull-independent, which the cull equivalence suite asserts.
         hybrid: run pFuzzer cells in hybrid mine/generate mode (see
             :mod:`repro.hybrid`).  Not environmental: it changes cell
@@ -716,44 +733,30 @@ def run_grid(
     if trace_dir is not None:
         os.makedirs(trace_dir, exist_ok=True)
         trace_dir = str(trace_dir)
-    engine: Optional[Dict[str, object]] = None
-    if executor is not None or batch_size is not None or cull_every is not None:
-        # Environmental knobs, shipped to workers as extra campaign
-        # options: engine choice and cull cadence change how a cell runs,
-        # never what it produces.
-        engine = {}
-        if executor is not None:
-            engine["executor"] = executor
-        if batch_size is not None:
-            engine["batch_size"] = batch_size
-        if cull_every is not None:
-            engine["cull_every"] = cull_every
+    # Extra run_campaign options shared by every cell.  cull_every is
+    # environmental; hybrid and hunt_crashes are campaign state that each
+    # cell's checkpoints fingerprint, so every retry of a cell must run
+    # with the same options (they come from here).  subject_module is
+    # re-imported inside the worker, covering spawn-start platforms where
+    # the parent's import is not inherited.
+    options: Dict[str, object] = {}
+    if cull_every is not None:
+        options["cull_every"] = cull_every
     if hybrid:
-        # Rides in the same per-worker options dict as the engine knobs,
-        # but is campaign state, not environment: a hybrid cell's
-        # checkpoints fingerprint the hybrid config, so every retry of
-        # the cell runs with the same options (they come from here).
-        engine = dict(engine or {})
-        engine["hybrid"] = True
+        options["hybrid"] = True
         if mine_after is not None:
-            engine["mine_after"] = mine_after
+            options["mine_after"] = mine_after
         if gen_batch is not None:
-            engine["gen_batch"] = gen_batch
+            options["gen_batch"] = gen_batch
         if gen_depth is not None:
-            engine["gen_depth"] = gen_depth
+            options["gen_depth"] = gen_depth
     if hunt_crashes:
-        # Same discipline as hybrid: hunting is campaign state and every
-        # retry of a cell must keep it (checkpoints fingerprint it).
-        engine = dict(engine or {})
-        engine["hunt_crashes"] = True
+        options["hunt_crashes"] = True
     if subject_module is not None:
-        # run_campaign re-imports the module inside the worker, covering
-        # spawn-start platforms where the parent's import is not inherited.
-        engine = dict(engine or {})
-        engine["subject_module"] = subject_module
+        options["subject_module"] = subject_module
     effective_jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
     effective_jobs = min(effective_jobs, len(specs))
-    executor = _GridExecutor(
+    grid = _GridExecutor(
         specs,
         effective_jobs,
         timeout,
@@ -765,9 +768,9 @@ def run_grid(
         durability,
         resume_retries,
         trace_dir,
-        engine,
+        options,
     )
-    records = executor.run()
+    records = grid.run()
     if metrics_path is not None:
         write_jsonl(metrics_path, [record.metrics for record in records])
     if corpus_path is not None:

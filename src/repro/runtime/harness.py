@@ -23,7 +23,6 @@ comparable and equivalence is asserted in the test suite.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional
 
@@ -36,12 +35,6 @@ from repro.taint.recorder import Recorder, recording
 #: Supported values for ``coverage_backend``.
 COVERAGE_BACKENDS = ("settrace", "ast")
 
-#: Reserved backend names that are registered but not implemented yet.
-#: ``"monitoring"`` is the planned PEP 669 ``sys.monitoring`` backend —
-#: out of scope while CI runs Python 3.11; :func:`run_subject` raises a
-#: version-gated :class:`NotImplementedError` naming the follow-up.
-EXPERIMENTAL_BACKENDS = ("monitoring",)
-
 
 class ExitStatus(enum.Enum):
     """Outcome of one subject execution (the paper's process exit code)."""
@@ -50,7 +43,8 @@ class ExitStatus(enum.Enum):
     REJECTED = 1
     HANG = 2
     #: The subject raised something other than its declared rejection
-    #: exceptions — the Python analogue of a segfault.  Crashes are
+    #: exceptions (``sys.exit()`` included) — the Python analogue of a
+    #: segfault.  Crashes are
     #: first-class results: the campaign keeps running and the failure
     #: site counts as coverage (see :func:`run_subject`).
     CRASH = 3
@@ -64,8 +58,8 @@ def failure_site(exc: BaseException, files) -> tuple:
     subject sees it, independent of harness frames above and of library
     frames below.  For a recursive crash (``RecursionError`` out of a
     self-call) the deepest subject frame repeats the same line whatever the
-    baseline stack depth was, so the signature is stable across the inline,
-    pooled and batched engines.
+    baseline stack depth was, so the signature is stable across runs and
+    coverage backends.
     """
     filename = "<unknown>"
     line = 0
@@ -219,22 +213,6 @@ def run_subject(
             clock_provider=tracer.current_clock,
             stack_provider=tracer.current_stack,
         )
-    elif coverage_backend == "monitoring":
-        # Version-gated stub for the PEP 669 backend (ROADMAP item 2's
-        # remainder): the name is reserved so the 3.12 follow-up slots in
-        # without a config migration, but no implementation ships while
-        # CI pins 3.11.
-        if sys.version_info < (3, 12):
-            raise NotImplementedError(
-                "the 'monitoring' coverage backend requires Python 3.12+ "
-                "(PEP 669 sys.monitoring); this interpreter is "
-                f"{sys.version_info.major}.{sys.version_info.minor} — "
-                "use 'ast' (fastest) or 'settrace' (reference)"
-            )
-        raise NotImplementedError(
-            "the 'monitoring' coverage backend is registered but not "
-            "implemented yet; use 'ast' (fastest) or 'settrace' (reference)"
-        )
     else:
         raise ValueError(
             f"unknown coverage backend {coverage_backend!r}; "
@@ -261,11 +239,12 @@ def run_subject(
         except SubjectError as exc:
             status = ExitStatus.REJECTED
             error = str(exc)
-        except Exception as exc:  # noqa: BLE001 - crashes are results here
+        except (Exception, SystemExit, GeneratorExit) as exc:  # noqa: BLE001
             # Anything else out of the subject is the Python analogue of a
-            # segfault.  Propagating it would kill the campaign (and, under
-            # the pooled engine, look like a worker death and trigger a
-            # respawn loop), so classify it as a CRASH result instead.
+            # segfault, and a sys.exit() in the subject is the analogue of
+            # a process exit.  Propagating either would end the campaign
+            # with no result, so classify it as a CRASH instead.  Only
+            # KeyboardInterrupt, the operator's stop, escapes.
             status = ExitStatus.CRASH
             crash_signature = failure_site(exc, subject.files)
             error = f"{crash_signature[0]}: {exc}"

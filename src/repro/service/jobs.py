@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Union
 
 from repro.eval.campaign import validate_campaign
 from repro.eval.checkpoint import atomic_write_text
-from repro.runtime.executor import EXECUTOR_MODES
 from repro.runtime.harness import COVERAGE_BACKENDS
 
 PathLike = Union[str, Path]
@@ -118,13 +117,9 @@ class JobSpec:
             service on group expansion.
         sync_every: corpus-sync cadence in executions for sharded jobs
             (pFuzzer default — the checkpoint cadence — when None).
-        executor: pFuzzer execution engine (``"inline"`` or ``"pooled"``;
-            see :mod:`repro.runtime.executor`).  Environmental like
-            ``trace`` — the job's result is engine-independent.
-        batch_size: speculative batch size for the pooled engine.
         cull_every: queue-hygiene cadence in executions (pFuzzer only;
             see :attr:`repro.core.config.FuzzerConfig.cull_every`).
-            Environmental like ``executor`` — culling never changes the
+            Environmental like ``trace`` — culling never changes the
             job's result fingerprint.  None disables culling.
         hybrid: run the job as a hybrid mine/generate campaign (pFuzzer
             only; see :mod:`repro.hybrid`).  *Not* environmental: hybrid
@@ -160,8 +155,6 @@ class JobSpec:
     shard_id: Optional[int] = None
     shard_group: Optional[str] = None
     sync_every: Optional[int] = None
-    executor: str = "inline"
-    batch_size: int = 1
     cull_every: Optional[int] = None
     hybrid: bool = False
     mine_after: Optional[int] = None
@@ -251,15 +244,6 @@ class JobSpec:
             problems.append(
                 f"sync_every must be a positive integer, got {self.sync_every!r}"
             )
-        if self.executor not in EXECUTOR_MODES:
-            problems.append(
-                f"unknown executor {self.executor!r}; "
-                f"valid executors: {', '.join(EXECUTOR_MODES)}"
-            )
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            problems.append(
-                f"batch_size must be a positive integer, got {self.batch_size!r}"
-            )
         if self.cull_every is not None and (
             not isinstance(self.cull_every, int) or self.cull_every < 1
         ):
@@ -318,6 +302,24 @@ class JobSpec:
         return cls(**record)
 
 
+#: Spec fields that older journals carry but specs no longer have: the
+#: removed pooled execution engine's knobs.  They never changed a job's
+#: result, so journal replay drops them and the job runs inline.  Client
+#: submissions still reject them as unknown fields.
+_RETIRED_SPEC_FIELDS = frozenset({"executor", "batch_size"})
+
+
+def _journalled_spec(record: dict) -> JobSpec:
+    """:meth:`JobSpec.from_dict` for a spec read back from the journal."""
+    if isinstance(record, dict):
+        record = {
+            name: value
+            for name, value in record.items()
+            if name not in _RETIRED_SPEC_FIELDS
+        }
+    return JobSpec.from_dict(record)
+
+
 @dataclass
 class JobRecord:
     """Where one job is: state, progress counters, outcome.
@@ -357,7 +359,7 @@ class JobRecord:
     @classmethod
     def from_dict(cls, record: dict) -> "JobRecord":
         fields = dict(record)
-        fields["spec"] = JobSpec.from_dict(fields["spec"])
+        fields["spec"] = _journalled_spec(fields["spec"])
         fields["state"] = JobState(fields["state"])
         return cls(**fields)
 
@@ -399,7 +401,7 @@ class JobStore:
     def _apply_event(self, event: dict) -> None:
         kind = event.get("event")
         if kind == "submit":
-            spec = JobSpec.from_dict(event["spec"])
+            spec = _journalled_spec(event["spec"])
             record = JobRecord(
                 job_id=event["job_id"], spec=spec, seq=int(event["seq"])
             )

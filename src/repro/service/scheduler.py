@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.eval.campaign import ToolOutput, run_campaign
 from repro.eval.metrics import CampaignMetrics
-from repro.eval.parallel import WorkerPool
+from repro.eval.parallel import WorkerPool, receive_tasks
 from repro.runtime.limits import RunTimeout, peak_rss_bytes, time_limit
 from repro.service.gain import GainConfig, GainEstimator
 from repro.service.jobs import (
@@ -159,9 +159,6 @@ def _run_slice(task: dict) -> SliceResult:
             durability["shard_count"] = task["shard_count"]
             durability["sync_store"] = task["sync_store"]
             durability["sync_every"] = task["sync_every"]
-        if task.get("executor"):
-            durability["executor"] = task["executor"]
-            durability["batch_size"] = task.get("batch_size") or 1
         if task.get("cull_every") is not None:
             durability["cull_every"] = task["cull_every"]
         if task.get("hybrid"):
@@ -254,24 +251,8 @@ def _run_slice(task: dict) -> SliceResult:
 
 
 def _slice_worker(worker_id: int, inbox, results) -> None:
-    """Worker loop: take slice tasks until the None sentinel (or EOF).
-
-    Siblings forked later inherit this worker's inbox write-end, so a
-    SIGKILLed parent does not EOF the pipe — idle workers would sleep in
-    ``recv`` forever, holding the service's listening socket open.  The
-    loop therefore polls with a timeout and exits once re-parented.
-    """
-    parent = os.getppid()
-    while True:
-        try:
-            while not inbox.poll(1.0):
-                if os.getppid() != parent:
-                    return
-            item = inbox.recv()
-        except (EOFError, OSError):
-            return
-        if item is None:
-            return
+    """Worker loop: run slice tasks until told to stop."""
+    for item in receive_tasks(inbox):
         started = time.monotonic()
         try:
             with time_limit(item.get("slice_timeout")):
@@ -653,8 +634,6 @@ class CampaignScheduler:
                     "shard_id": spec.shard_id,
                     "shard_count": spec.shards,
                     "sync_every": spec.sync_every,
-                    "executor": spec.executor,
-                    "batch_size": spec.batch_size,
                     "cull_every": spec.cull_every,
                     "hybrid": spec.hybrid,
                     "mine_after": spec.mine_after,

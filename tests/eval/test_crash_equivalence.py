@@ -1,12 +1,10 @@
-"""Crash-status equivalence: every engine and backend agrees on crashes.
+"""Crash-status equivalence: runs and backends agree on crashes.
 
-The acceptance matrix of the crash-hunting ISSUE: a campaign over a
-crashing plugin subject must produce the *same* findings — crash counts,
+The acceptance matrix of crash hunting: a campaign over a crashing
+plugin subject must produce the *same* findings — crash counts,
 failure-site signatures, crashing inputs, path signatures, and the full
-:func:`result_fingerprint` — whether executed inline, through the pooled
-executor, or with speculative batching, on either coverage backend.  A
-crash in a pooled worker is an ordinary result, not a worker death: the
-pool must not respawn over it.
+:func:`result_fingerprint` — on every run, on either coverage backend,
+and after a resume from any checkpoint generation.
 """
 
 import sys
@@ -18,8 +16,6 @@ from repro.core.config import FuzzerConfig
 from repro.core.fuzzer import PFuzzer
 from repro.eval.checkpoint import result_fingerprint
 from repro.runtime.arcs import arc_table_for
-from repro.runtime.executor import PooledExecutor
-from repro.runtime.harness import ExitStatus
 from repro.subjects.registry import load_subject, load_subject_module
 
 HELPERS = str(Path(__file__).resolve().parent.parent / "helpers")
@@ -27,10 +23,7 @@ if HELPERS not in sys.path:
     sys.path.insert(0, HELPERS)
 load_subject_module("crashy_plugin")
 
-import crashy_plugin  # noqa: E402  (needs sys.path above)
-
 BACKENDS = ("settrace", "ast")
-CRASHING_INPUT = "(" * (crashy_plugin.CRASH_DEPTH + 1)
 
 
 def _campaign(backend, **overrides):
@@ -49,32 +42,21 @@ def _fingerprint(result):
 
 
 # --------------------------------------------------------------------- #
-# Inline vs pooled vs batched, both backends
+# Repeated runs and both backends
 # --------------------------------------------------------------------- #
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_engines_agree_on_crash_findings(backend):
     inline = _campaign(backend)
-    pooled = _campaign(
-        backend, executor="pooled", executor_isolation="none"
-    )
-    batched = _campaign(
-        backend,
-        executor="pooled",
-        batch_size=8,
-        executor_isolation="none",
-    )
+    again = _campaign(backend)
     assert inline.crashes >= 1
     assert inline.crash_signatures
-    reference = _fingerprint(inline)
-    assert _fingerprint(pooled) == reference
-    assert _fingerprint(batched) == reference
-    for other in (pooled, batched):
-        assert other.crashes == inline.crashes
-        assert other.crash_inputs == inline.crash_inputs
-        assert other.crash_signatures == inline.crash_signatures
-        assert other.crash_path_signatures == inline.crash_path_signatures
+    assert _fingerprint(again) == _fingerprint(inline)
+    assert again.crashes == inline.crashes
+    assert again.crash_inputs == inline.crash_inputs
+    assert again.crash_signatures == inline.crash_signatures
+    assert again.crash_path_signatures == inline.crash_path_signatures
 
 
 def test_backends_agree_on_crash_signatures():
@@ -84,48 +66,6 @@ def test_backends_agree_on_crash_signatures():
         == results["ast"].crash_signatures
     )
     assert results["settrace"].crash_inputs == results["ast"].crash_inputs
-
-
-# --------------------------------------------------------------------- #
-# Crashes are results, not worker deaths
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_pooled_crash_does_not_respawn_workers(backend):
-    executor = PooledExecutor(
-        load_subject("crashy"),
-        coverage_backend=backend,
-        isolation="none",
-    )
-    try:
-        reference = None
-        for _ in range(5):
-            result = executor.execute(CRASHING_INPUT)
-            assert result.status is ExitStatus.CRASH
-            if reference is None:
-                reference = result.crash_signature
-            assert result.crash_signature == reference
-        assert executor.respawns == 0
-    finally:
-        executor.close()
-
-
-def test_crash_signature_survives_the_wire_format():
-    """Pooled (serialized) and inline (in-process) results byte-match."""
-    from repro.runtime.harness import run_subject
-
-    inline = run_subject(load_subject("crashy"), CRASHING_INPUT)
-    executor = PooledExecutor(load_subject("crashy"), isolation="none")
-    try:
-        pooled = executor.execute(CRASHING_INPUT)
-    finally:
-        executor.close()
-    assert pooled.status is ExitStatus.CRASH
-    assert pooled.crash_signature == inline.crash_signature
-    assert pooled.error == inline.error
-    table = arc_table_for(load_subject("crashy"))
-    assert table.signature(pooled.arcs) == table.signature(inline.arcs)
 
 
 # --------------------------------------------------------------------- #

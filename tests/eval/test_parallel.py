@@ -1,5 +1,10 @@
 """Parallel executor: sequential equivalence, fault isolation, ordering."""
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,8 +14,10 @@ from repro.eval.parallel import (
     RunRecord,
     RunSpec,
     RunStatus,
+    WorkerPool,
     parallel_best_of,
     parallel_campaigns,
+    receive_tasks,
     run_grid,
 )
 from repro.eval.report import render_figure3
@@ -300,3 +307,64 @@ def test_parallel_equals_sequential_under_faults(cells, faults):
             record.output,
             run_campaign(spec.tool, spec.subject, spec.budget, seed=spec.seed),
         )
+
+
+# --------------------------------------------------------------------- #
+# The pool workers' receive loop
+# --------------------------------------------------------------------- #
+
+
+def test_receive_tasks_stops_on_sentinel_and_on_eof():
+    inbox, outbox = multiprocessing.Pipe(duplex=False)
+    for task in ("a", {"job_id": "b"}, None, "never read"):
+        outbox.send(task)
+    assert list(receive_tasks(inbox)) == ["a", {"job_id": "b"}]
+    inbox.close()
+    outbox.close()
+
+    inbox, outbox = multiprocessing.Pipe(duplex=False)
+    outbox.send("last")
+    outbox.close()
+    assert list(receive_tasks(inbox)) == ["last"]
+    inbox.close()
+
+
+def _idle_worker(worker_id, inbox, results):
+    for _ in receive_tasks(inbox):
+        pass
+
+
+def _spawn_worker_then_die(report):
+    pool = WorkerPool(_idle_worker)
+    worker_id = pool.spawn()
+    report.send(pool._workers[worker_id].process.pid)
+    os._exit(0)  # die without shutdown(): the worker is orphaned
+
+
+def test_orphaned_pool_worker_exits():
+    """A worker whose parent dies without a shutdown stops on its own."""
+    if not os.path.isdir("/proc"):
+        pytest.skip("needs /proc to see the worker's state")
+    ctx = multiprocessing.get_context("fork")
+    report_recv, report_send = ctx.Pipe(duplex=False)
+    parent = ctx.Process(target=_spawn_worker_then_die, args=(report_send,))
+    parent.start()
+    worker_pid = report_recv.recv()
+    parent.join(timeout=10)
+    assert not parent.is_alive()
+
+    def running():
+        try:
+            with open(f"/proc/{worker_pid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            return False
+        return state not in ("Z", "X")
+
+    deadline = time.monotonic() + 15
+    while running() and time.monotonic() < deadline:
+        time.sleep(0.1)
+    still_running = running()
+    if still_running:
+        os.kill(worker_pid, signal.SIGKILL)  # don't leak it past the test
+    assert not still_running

@@ -1,5 +1,9 @@
 """Run harness: exit statuses and heuristic coverage cutoff."""
 
+import pytest
+
+from repro.core.candidate import Candidate
+from repro.core.substitute import Substitution
 from repro.runtime.harness import ExitStatus, run_subject
 from repro.subjects.registry import load_subject
 
@@ -68,3 +72,24 @@ def test_deeper_nesting_raises_stack_metric(expr_subject):
     shallow = run_subject(expr_subject, "(1")
     deep = run_subject(expr_subject, "((((1")
     assert deep.average_stack_size() > shallow.average_stack_size()
+
+
+def test_hot_loop_dataclasses_reject_stray_attributes():
+    """``__slots__`` audit of the dataclasses built per execution."""
+    candidate = Candidate("x")
+    with pytest.raises(AttributeError):
+        candidate.stray = 1
+    result = run_subject(load_subject("expr"), "1")
+    with pytest.raises(AttributeError):
+        result.stray = 1
+    substitution = Substitution("a", "a", 0)
+    with pytest.raises(AttributeError):  # FrozenInstanceError
+        substitution.text = "b"
+    # Stray assignment on a frozen+slots dataclass raises TypeError on
+    # 3.11 (the generated __setattr__'s super(cls, self) quirk) and
+    # AttributeError elsewhere; either way the attribute never lands.
+    with pytest.raises((AttributeError, TypeError)):
+        substitution.stray = 1
+    for instance in (candidate, result, substitution):
+        assert not hasattr(instance, "__dict__")
+        assert hasattr(type(instance), "__slots__")
